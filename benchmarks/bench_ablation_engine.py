@@ -4,9 +4,9 @@ DESIGN.md commits to exactly-equivalent fast paths; this bench measures
 the speedups and re-checks bit-exactness on a realistic trace:
 
 * vectorized vs reference, single configuration,
-* batched multi-config sweep vs per-configuration vectorized runs (the
-  tentpole of the batched engine: all 34 paper configurations in one
-  pass),
+* batched multi-config sweep — numpy scans and the compiled two-level
+  kernel — vs per-configuration vectorized runs (all 34 paper
+  configurations in one pass),
 * the vectorized combining families (agree / tournament / hybrid) that
   previously forced the reference engine.
 """
@@ -19,6 +19,7 @@ from repro.engine import (
     simulate_sweep,
     simulate_vectorized,
 )
+from repro.engine.backend import resolve_backend
 from repro.predictors import (
     AgreePredictor,
     TournamentPredictor,
@@ -64,13 +65,23 @@ def test_engine_throughput(benchmark, trace, engine):
     assert result.total_executions == len(trace)
 
 
-@pytest.mark.parametrize("mode", ["batched", "per-config"])
+@pytest.mark.parametrize("mode", ["batched", "compiled", "per-config"])
 def test_sweep_throughput(benchmark, trace, mode):
-    """The paper's full 34-configuration sweep over one trace."""
+    """The paper's full 34-configuration sweep over one trace: the numpy
+    batched scans (the ``python`` backend's route), the compiled
+    two-level kernel, and per-configuration vectorized runs."""
     benchmark.group = "sweep-throughput"
-    if mode == "batched":
-        result = benchmark(lambda: simulate_sweep(trace))
+    if mode in ("batched", "compiled"):
+        if mode == "batched":
+            backend = "python"
+        else:
+            backend = resolve_backend("auto")
+            if backend == "python":
+                pytest.skip("no compiled backend available (numba and cext both absent)")
+        result = benchmark(lambda: simulate_sweep(trace, backend=backend))
         misses = result.result("gas", 8).total_mispredictions
+        assert misses == simulate_vectorized(paper_gas(8), trace).total_mispredictions
+        benchmark.extra_info["backend"] = backend
     else:
         def per_config():
             return [

@@ -1,46 +1,30 @@
-"""Compiled kernel backends and the intra-trace parallel sweep.
+"""Compiled kernel backends against the reference path.
 
 Measures the ``REPRO_ENGINE_BACKEND`` layer against the stateful
-reference path it replaces (see docs/PERFORMANCE.md):
+reference path it replaces (see docs/PERFORMANCE.md): per-record
+kernel throughput for every *available* backend on one reference-path
+family (YAGS) plus the stateful reference loop — the compiled backends
+must be ≥ 4× the reference path.  The compiled two-level sweep is
+measured next to its numpy fallback by ``sweep_throughput`` in
+``bench_ablation_engine.py``.
 
-* per-record kernel throughput for every *available* backend on one
-  reference-path family (YAGS) plus the stateful reference loop —
-  the compiled backends must be ≥ 4× the reference path;
-* the speculative intra-trace pipeline: the streamed 8-configuration
-  PAs/GAs sweep at 1/2/4 workers, recording per-worker-count wall
-  times and the scaling ratio in ``extra_info``.  The ≥ 2.5× target at
-  4 workers is asserted only on hosts with ≥ 4 CPUs (a single-core
-  container cannot scale; the snapshot's ``hardware`` block says which
-  kind of host produced it).
-
-Every timed body re-checks bit-exactness against the sequential
-in-memory engines first, so a snapshot can never record a fast wrong
-answer.
+Every timed body re-checks bit-exactness against the reference
+engine, so a snapshot can never record a fast wrong answer.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.engine import simulate, simulate_reference
-from repro.engine.backend import backend_availability, compiled_stream
-from repro.engine.batched import simulate_batched
-from repro.engine.parallel import simulate_batched_stream_parallel
-from repro.predictors.paper_configs import paper_spec
+from repro.engine.backend import backend_availability
 from repro.spec import YagsSpec
 from repro.workloads.synthetic import SPEC95_INPUTS, input_trace
 
 #: Compiled per-record kernels must beat the stateful reference loop by
 #: at least this factor (the ISSUE 10 acceptance bar).
 COMPILED_SPEEDUP_FLOOR = 4.0
-
-#: Parallel sweep scaling target at 4 workers, asserted when the host
-#: actually has 4 CPUs to scale onto.
-SCALING_FLOOR = 2.5
-SWEEP_WORKER_COUNTS = (1, 2, 4)
 
 
 def available_backends() -> list[str]:
@@ -115,71 +99,4 @@ def test_compiled_speedup_floor(trace, yags_reference):
     assert compiled_time * COMPILED_SPEEDUP_FLOOR <= reference_time, (
         f"compiled {compiled_time:.3f}s vs reference {reference_time:.3f}s: "
         f"below the {COMPILED_SPEEDUP_FLOOR}x floor"
-    )
-
-
-# -- intra-trace parallel sweep ------------------------------------------------
-
-SWEEP_CONFIGS = [(kind, k) for kind in ("pas", "gas") for k in (0, 4, 8, 12)]
-SWEEP_CHUNK_LEN = 1 << 15
-
-
-def sweep_chunks(trace):
-    for start in range(0, len(trace), SWEEP_CHUNK_LEN):
-        yield trace[start : start + SWEEP_CHUNK_LEN]
-
-
-@pytest.fixture(scope="module")
-def sweep_baseline(trace):
-    predictors = [paper_spec(kind, k).build() for kind, k in SWEEP_CONFIGS]
-    return simulate_batched(predictors, trace)
-
-
-@pytest.mark.parametrize("workers", SWEEP_WORKER_COUNTS)
-def test_parallel_sweep_scaling(benchmark, trace, sweep_baseline, workers):
-    """Streamed 8-config sweep with the speculative chunk pipeline."""
-    benchmark.group = "parallel-sweep-scaling"
-
-    def run():
-        return simulate_batched_stream_parallel(
-            [paper_spec(kind, k).build() for kind, k in SWEEP_CONFIGS],
-            sweep_chunks(trace),
-            workers=workers,
-        )
-
-    results = benchmark(run)
-    for expected, got in zip(sweep_baseline, results):
-        assert np.array_equal(got.mispredictions, expected.mispredictions)
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-    benchmark.extra_info["records"] = len(trace)
-    benchmark.extra_info["configs"] = len(SWEEP_CONFIGS)
-
-
-def test_parallel_scaling_floor(trace, sweep_baseline):
-    """≥ 2.5× at 4 workers — asserted only where 4 CPUs exist."""
-    import time
-
-    def run_once(workers):
-        start = time.perf_counter()
-        results = simulate_batched_stream_parallel(
-            [paper_spec(kind, k).build() for kind, k in SWEEP_CONFIGS],
-            sweep_chunks(trace),
-            workers=workers,
-        )
-        elapsed = time.perf_counter() - start
-        for expected, got in zip(sweep_baseline, results):
-            assert np.array_equal(got.mispredictions, expected.mispredictions)
-        return elapsed
-
-    serial = min(run_once(1) for _ in range(2))
-    parallel = min(run_once(4) for _ in range(2))
-    if (os.cpu_count() or 1) < 4:
-        pytest.skip(
-            f"host has {os.cpu_count()} CPU(s); scaling recorded in the "
-            f"snapshot but the {SCALING_FLOOR}x floor needs 4"
-        )
-    assert parallel * SCALING_FLOOR <= serial, (
-        f"4 workers {parallel:.3f}s vs serial {serial:.3f}s: below the "
-        f"{SCALING_FLOOR}x floor"
     )

@@ -46,7 +46,7 @@ SNAPSHOT_PATTERN = re.compile(r"^BENCH_(\d+)\.json$")
 QUICK_SELECT = (
     "engine_throughput or sweep_throughput or kernels_run_all or materialize"
     " or chaos_overhead or serve_warm or ingest_throughput or adversarial_suite_sweep"
-    " or backend_throughput or parallel_sweep_scaling"
+    " or backend_throughput"
 )
 
 
@@ -136,9 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         "inputs": os.environ.get("REPRO_BENCH_INPUTS"),
         "select": args.select,
         # Snapshots are only comparable on similar hosts; record what
-        # produced this one (BENCH_0008 onward).  The parallel-sweep
-        # scaling numbers in particular are meaningless without
-        # cpu_count next to them.
+        # produced this one (BENCH_0008 onward).
         "hardware": {
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),

@@ -22,15 +22,19 @@ Engine-selection guide (see ``docs/ENGINES.md`` for the full story):
 
 ``batched`` (:func:`simulate_batched` / :func:`simulate_sweep`)
     Multi-configuration engine: simulates *many* two-level
-    configurations over one trace in a single pass, sharing history
-    windows, PC encoding, and stacked segmented scans across the batch.
-    This is what :func:`repro.analysis.history_sweep.run_sweep` uses
-    for the paper's 34-configuration sweep (several-fold faster than
-    per-config vectorized runs, still bit-exact).
+    configurations over one trace in a single pass, sharing the PC
+    encoding and deduplicating identical geometries.  This is what
+    :func:`repro.analysis.history_sweep.run_sweep` uses for the
+    paper's 34-configuration sweep.  When the backend resolves to
+    ``cext`` or ``numba`` each geometry runs the compiled
+    ``twolevel_step`` kernel; under ``python`` the batch shares history
+    windows and stacked segmented scans instead (bit-exact either way).
 
 ``auto``
-    Vectorized when supported, reference otherwise.  Sweep-level code
-    additionally upgrades to the batched engine on ``"auto"``.
+    Vectorized when supported, a compiled per-record kernel for the
+    YAGS/bi-mode/filter/DHLF families, reference otherwise.
+    Sweep-level code additionally upgrades to the batched engine on
+    ``"auto"``.
 
 ``streaming`` (:func:`simulate_stream` / :func:`simulate_sweep_stream`)
     Bounded-memory counterparts of the above: consume an *iterator of
@@ -66,7 +70,6 @@ from .backend import (
     resolve_backend,
     supports_compiled,
 )
-from .parallel import resolve_workers, supports_parallel_sweep
 from .reference import simulate_reference
 from .results import BranchResult, SimulationResult
 from .scan import counter_step_table, segmented_automaton_scan, segmented_saturating_scan
@@ -98,9 +101,7 @@ __all__ = [
     "backend_availability",
     "compiled_stream",
     "resolve_backend",
-    "resolve_workers",
     "supports_compiled",
-    "supports_parallel_sweep",
     "BatchedSweepResult",
     "SimulationResult",
     "BranchResult",

@@ -1,13 +1,17 @@
-"""Execution-backend selection for the reference-path predictor families.
+"""Execution-backend selection for the per-record compiled kernels.
 
-Four families (YAGS, bi-mode, filter-over-two-level, DHLF) carry state
-that defeats the segmented-scan engines, so they advance one record at
-a time.  This module picks *how* that per-record loop runs:
+Two kinds of work advance one record at a time through the kernels of
+:mod:`repro.engine.compiled`: the four families whose state defeats
+the segmented-scan engines (YAGS, bi-mode, filter-over-two-level,
+DHLF), and the two-level family's batched sweep
+(:func:`repro.engine.batched.simulate_batched` and its streaming
+counterpart).  This module picks *how* that loop runs:
 
 ``python``
     The :mod:`repro.engine.compiled.kernels` loops interpreted by
     CPython.  Always available; bit-identical to the stateful
-    reference predictors.
+    reference predictors.  The batched sweep does not run the
+    interpreted loop: under ``python`` it keeps its numpy scans.
 ``numba``
     The same loops jitted by numba (:mod:`repro.engine.compiled.njit`).
     Available only when numba is importable.
@@ -52,8 +56,6 @@ __all__ = [
 #: Recognised values of ``REPRO_ENGINE_BACKEND`` / ``--backend``.
 BACKENDS = ("auto", "python", "numba", "cext")
 
-_KERNEL_NAMES = ("yags_step", "bimode_step", "filter_step", "dhlf_step")
-
 
 def backend_availability() -> dict[str, tuple[bool, str]]:
     """``{backend: (usable, reason)}`` for every concrete backend.
@@ -97,7 +99,7 @@ def resolve_backend(backend: str | None = None) -> str:
 
 def _kernel_table(resolved: str) -> dict[str, object]:
     if resolved == "python":
-        return {name: getattr(kernels, name) for name in _KERNEL_NAMES}
+        return {name: getattr(kernels, name) for name in kernels.KERNELS}
     if resolved == "numba":
         return njit.load()
     assert resolved == "cext"
@@ -179,39 +181,18 @@ def _bimode_stream(predictor: BiModePredictor, kernel) -> _KernelStream:
 
 
 def _filter_stream(predictor: FilterPredictor, kernel) -> _KernelStream:
-    backing = predictor.backing
-    if isinstance(backing, BimodalPredictor):
-        table = backing.table
-        history_kind, index_scheme, history_bits = 0, 0, 0
-        pc_fill_bits, bht_entries = table.index_bits, 1
-    else:
-        table = backing.pht
-        history_kind = 0 if backing.history_kind == "global" else 1
-        index_scheme = 0 if backing.index_scheme == "concat" else 1
-        history_bits = backing.history_bits
-        pc_fill_bits = backing.pht_index_bits - history_bits
-        bht_entries = backing.bht.entries if backing.bht is not None else 1
+    from .batched import _spec_of, _twolevel_stream  # lazy: batched imports us
+
+    # The backing's flat state and params are exactly a two-level
+    # kernel's; the filter's own tables and masks go in front.
+    backing = _twolevel_stream(_spec_of(predictor.backing), kernel)
     entries = predictor._mask + 1
     state = (
         np.zeros(entries, dtype=np.uint8),  # bias
         np.zeros(entries, dtype=np.uint16),  # run counters
-        np.full(table.entries, table.initial, dtype=np.uint8),  # backing PHT
-        np.zeros(bht_entries, dtype=np.int64),  # backing BHT rows
-    )
-    params = [
-        predictor._mask,
-        predictor.threshold,
-        predictor._max_count,
-        history_kind,
-        index_scheme,
-        history_bits,
-        table.entries - 1,
-        pc_fill_bits,
-        bht_entries - 1,
-        1 << (table.bits - 1),
-        (1 << table.bits) - 1,
-        (1 << history_bits) - 1,
-    ]
+    ) + backing.state
+    params = [predictor._mask, predictor.threshold, predictor._max_count]
+    params += backing.params.tolist()
     return _KernelStream(kernel, [0], params, state)
 
 

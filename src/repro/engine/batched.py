@@ -25,6 +25,15 @@ argsort + segmented-scan pipeline.  This engine shares all of them:
 Every prediction is bit-exact with simulating each configuration
 separately (and hence with the reference engine); the equivalence is
 pinned by ``tests/test_engine_batched.py``.
+
+**Compiled route.**  When :func:`~repro.engine.backend.resolve_backend`
+gives a compiled backend (``cext`` or ``numba``),
+:func:`simulate_batched` skips the numpy scans entirely: each unique
+geometry runs the per-record ``twolevel_step`` kernel
+(:mod:`repro.engine.compiled`) once over the trace, which is several
+times faster than the scans (see ``docs/PERFORMANCE.md``).  The numpy
+pipeline above is the fallback for the ``python`` backend and stays
+available directly as :func:`predictions_batched`.
 """
 
 from __future__ import annotations
@@ -36,11 +45,14 @@ from ..predictors.bimodal import BimodalPredictor
 from ..predictors.paper_configs import HISTORY_LENGTHS, paper_predictor
 from ..predictors.twolevel import TwoLevelPredictor
 from ..trace.stream import Trace
+from .backend import _kernel_table, _KernelStream, resolve_backend
 from .results import SimulationResult
 from .scan import segmented_saturating_scan, stable_key_order
 from .vectorized import _bht_window, _global_window, _pht_indices
 
 __all__ = [
+    "CompiledBatch",
+    "compiled_batch",
     "predictions_batched",
     "simulate_batched",
     "simulate_sweep",
@@ -168,16 +180,27 @@ def simulate_batched(
     trace: Trace,
     *,
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+    backend: str | None = None,
 ) -> list[SimulationResult]:
     """Cold-start simulation of many predictors with per-PC attribution.
 
     Each returned result is exactly what ``simulate_reference`` (or
     ``simulate_vectorized``) would produce for that predictor, but the
-    PC encoding and the counter scans are shared across the batch.
+    PC encoding is shared across the batch.  ``backend`` (default:
+    ``REPRO_ENGINE_BACKEND``, else auto-detect) picks the compiled
+    per-record kernel; the ``python`` backend runs the shared numpy
+    scans of :func:`predictions_batched` instead.
     """
-    all_predictions = predictions_batched(
-        predictors, trace, max_chunk_elements=max_chunk_elements
-    )
+    if max_chunk_elements < 1:
+        raise ConfigurationError("max_chunk_elements must be positive")
+    predictors = list(predictors)
+    batch = compiled_batch(predictors, backend)
+    if batch is None:
+        all_predictions = predictions_batched(
+            predictors, trace, max_chunk_elements=max_chunk_elements
+        )
+    else:
+        all_predictions = batch.feed(trace.pcs, trace.outcomes)
     unique_pcs, codes = np.unique(trace.pcs, return_inverse=True)
     executions = np.bincount(codes, minlength=len(unique_pcs)).astype(np.int64)
     results = []
@@ -251,16 +274,19 @@ def simulate_sweep(
     kinds=("pas", "gas"),
     history_lengths=tuple(HISTORY_LENGTHS),
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+    backend: str | None = None,
 ) -> BatchedSweepResult:
     """Simulate the paper's PAs/GAs sweep over ``trace`` in one pass.
 
     Bit-exact with simulating ``paper_predictor(kind, k)`` separately
     for every (kind, k), at a fraction of the cost (see
-    ``docs/ENGINES.md``).
+    ``docs/ENGINES.md``).  ``backend`` as in :func:`simulate_batched`.
     """
     keys = [(kind, int(k)) for kind in kinds for k in history_lengths]
     predictors = [paper_predictor(kind, k) for kind, k in keys]
-    results = simulate_batched(predictors, trace, max_chunk_elements=max_chunk_elements)
+    results = simulate_batched(
+        predictors, trace, max_chunk_elements=max_chunk_elements, backend=backend
+    )
 
     miss_counts: dict[tuple[str, int], np.ndarray] = {}
     names: dict[tuple[str, int], str] = {}
@@ -329,6 +355,71 @@ def _spec_of(predictor) -> _Spec:
         f"batched engine cannot simulate {type(predictor).__name__}; "
         "use simulate() per predictor"
     )
+
+
+def _twolevel_stream(spec: _Spec, kernel) -> _KernelStream:
+    """One geometry's ``twolevel_step`` params and cold-start flat state:
+    weakly-taken PHT, zeroed BHT rows (a 1-element dummy without
+    per-address history) and a zeroed global register.  The backing half
+    of ``filter_step`` takes the same params and state."""
+    per_address = spec.history_kind == "per-address" and spec.history_bits > 0
+    bht_rows = spec.bht_entries if per_address else 1
+    params = [
+        1 if spec.history_kind == "per-address" else 0,
+        1 if spec.index_scheme == "xor" else 0,
+        spec.history_bits,
+        (1 << spec.pht_index_bits) - 1,
+        spec.pht_index_bits - spec.history_bits,
+        bht_rows - 1,
+        1 << (spec.counter_bits - 1),
+        (1 << spec.counter_bits) - 1,
+        (1 << spec.history_bits) - 1,
+    ]
+    state = (
+        np.full(1 << spec.pht_index_bits, 1 << (spec.counter_bits - 1), dtype=np.uint8),
+        np.zeros(bht_rows, dtype=np.int64),
+    )
+    return _KernelStream(kernel, [0], params, state)
+
+
+class CompiledBatch:
+    """Many two-level configurations advanced by the compiled
+    ``twolevel_step`` kernel, one call per unique geometry per chunk.
+
+    Same ``feed(pcs, outcomes) -> [predictions per predictor]``
+    protocol as :class:`repro.engine.streaming.BatchedStream`: every
+    configuration's PHT, BHT rows and global register are carried as
+    flat arrays across calls, so a whole trace and any chunk split of it
+    give identical predictions.  Identical geometries (the paper's
+    PAs-h0 and GAs-h0) share one state, as in :func:`predictions_batched`.
+    """
+
+    def __init__(self, predictors, kernel) -> None:
+        self._streams: list[_KernelStream] = []
+        self._slot_of_spec: list[int] = []
+        slot_by_key: dict[tuple, int] = {}
+        for spec in (_spec_of(p) for p in predictors):
+            key = spec.dedupe_key()
+            slot = slot_by_key.get(key)
+            if slot is None:
+                slot = slot_by_key[key] = len(self._streams)
+                self._streams.append(_twolevel_stream(spec, kernel))
+            self._slot_of_spec.append(slot)
+
+    def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> list[np.ndarray]:
+        """Per-step predictions of every predictor for one chunk."""
+        unique = [stream.feed(pcs, outcomes) for stream in self._streams]
+        return [unique[slot] for slot in self._slot_of_spec]
+
+
+def compiled_batch(predictors, backend: str | None = None) -> CompiledBatch | None:
+    """A :class:`CompiledBatch` for ``predictors`` when ``backend``
+    resolves to a compiled one (``cext``/``numba``), else None — the
+    caller then runs the numpy scans."""
+    resolved = resolve_backend(backend)
+    if resolved == "python":
+        return None
+    return CompiledBatch(predictors, _kernel_table(resolved)["twolevel_step"])
 
 
 def _stacked_scan(

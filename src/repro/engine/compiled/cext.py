@@ -18,16 +18,57 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import inspect
 import os
 import shutil
 import subprocess
 import tempfile
 from pathlib import Path
 
+from . import kernels
+
 _SOURCE = r"""
 #include <stdint.h>
 
 #define EXPORT __attribute__((visibility("default")))
+
+EXPORT void twolevel_step(
+    int64_t n, const int64_t *pcs, const uint8_t *outcomes,
+    uint8_t *predictions, int64_t *regs, const int64_t *params,
+    uint8_t *pht, int64_t *bht)
+{
+    int64_t ghr = regs[0];
+    const int64_t history_kind = params[0], index_scheme = params[1];
+    const int64_t history_bits = params[2], pht_mask = params[3];
+    const int64_t pc_fill_bits = params[4], bht_mask = params[5];
+    const int64_t ctr_threshold = params[6], ctr_max = params[7];
+    const int64_t hist_mask = params[8];
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t pc = pcs[i];
+        const int64_t taken = outcomes[i];
+        int64_t h;
+        if (history_bits == 0) h = 0;
+        else if (history_kind == 0) h = ghr;
+        else h = bht[pc & bht_mask];
+        int64_t index;
+        if (index_scheme == 0)
+            index = ((h << pc_fill_bits) | (pc & ((1ll << pc_fill_bits) - 1))) & pht_mask;
+        else
+            index = (h ^ pc) & pht_mask;
+        const uint8_t v = pht[index];
+        predictions[i] = v >= ctr_threshold ? 1 : 0;
+        if (taken) { if (v < ctr_max) pht[index] = v + 1; }
+        else if (v > 0) pht[index] = v - 1;
+        if (history_bits != 0) {
+            if (history_kind == 0) ghr = ((ghr << 1) | taken) & hist_mask;
+            else {
+                const int64_t b = pc & bht_mask;
+                bht[b] = ((bht[b] << 1) | taken) & hist_mask;
+            }
+        }
+    }
+    regs[0] = ghr;
+}
 
 EXPORT void yags_step(
     int64_t n, const int64_t *pcs, const uint8_t *outcomes,
@@ -196,18 +237,6 @@ EXPORT void dhlf_step(
 }
 """
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
-_U16 = ctypes.POINTER(ctypes.c_uint16)
-
-#: argtypes after the leading ``n`` for each exported function.
-_SIGNATURES = {
-    "yags_step": (_I64, _U8, _U8, _I64, _I64, _U8, _I64, _U8, _U8, _I64, _U8, _U8),
-    "bimode_step": (_I64, _U8, _U8, _I64, _I64, _U8, _U8, _U8),
-    "filter_step": (_I64, _U8, _U8, _I64, _I64, _U8, _U16, _U8, _I64),
-    "dhlf_step": (_I64, _U8, _U8, _I64, _I64, _U8, _I64),
-}
-
 # Per-process memo of the build/load outcome; workers each load their
 # own handle to the shared content-addressed .so.
 _cache: dict[str, object] = {}
@@ -257,14 +286,23 @@ def _build(directory: Path) -> Path:
     return target
 
 
-def _wrap(func, argtypes):
-    """A Python-signature adapter: (arrays...) -> C call with length."""
+def _array_args(name: str) -> int:
+    return len(inspect.signature(getattr(kernels, name)).parameters)
+
+
+def _wrap(func, array_args: int):
+    """A Python-signature adapter: (arrays...) -> C call with length.
+
+    Arrays travel as raw addresses (the C prototypes give their element
+    types): a ``data_as`` pointer cast per array costs more than the C
+    loop itself on short chunks.
+    """
     func.restype = None
-    func.argtypes = (ctypes.c_int64,) + argtypes
+    func.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * array_args
 
     def call(pcs, outcomes, predictions, regs, params, *state):
         arrays = (pcs, outcomes, predictions, regs, params) + state
-        func(len(pcs), *(a.ctypes.data_as(t) for a, t in zip(arrays, argtypes)))
+        func(len(pcs), *[a.ctypes.data for a in arrays])
 
     return call
 
@@ -279,8 +317,9 @@ def load() -> dict[str, object]:
     try:
         library = ctypes.CDLL(str(_build(cache_dir())))
         _cache["table"] = {
-            name: _wrap(getattr(library, name), argtypes)
-            for name, argtypes in _SIGNATURES.items()
+            # Same arrays, in the same order, as the Python kernel takes.
+            name: _wrap(getattr(library, name), _array_args(name))
+            for name in kernels.KERNELS
         }
     except Exception as exc:  # noqa: BLE001 - availability probe must not raise types
         _cache["error"] = f"cext backend unavailable: {exc}"

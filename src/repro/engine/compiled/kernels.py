@@ -1,4 +1,5 @@
-"""Array-state per-record kernels for the reference-path families.
+"""Array-state per-record kernels: the two-level family and the
+reference-path families.
 
 Each kernel advances one predictor over one chunk of records, reading
 and mutating *flat numpy state* only — scalars travel in a small
@@ -26,7 +27,11 @@ from __future__ import annotations
 
 # -- register/param layouts (shared with .njit and .cext) ---------------------
 
-#: ``regs`` slots of :func:`yags_step` / :func:`bimode_step`.
+#: Every kernel in this module; :mod:`.njit` and :mod:`.cext` export the same.
+KERNELS = ("twolevel_step", "yags_step", "bimode_step", "filter_step", "dhlf_step")
+
+#: ``regs`` slot of :func:`twolevel_step`, :func:`yags_step`,
+#: :func:`bimode_step` and :func:`filter_step`.
 HIST = 0
 
 #: ``regs`` slots of :func:`dhlf_step`.
@@ -37,6 +42,57 @@ DHLF_INTERVAL_COUNT = 3
 DHLF_EXPLOIT_REMAINING = 4
 DHLF_NEXT_EXPLORE = 5
 DHLF_REGS = 6
+
+
+def twolevel_step(pcs, outcomes, predictions, regs, params, pht, bht):
+    """One chunk of :class:`~repro.predictors.twolevel.TwoLevelPredictor`
+    (or of a bimodal table, as the zero-history case).
+
+    ``regs = [global_history]``; ``params = [history_kind (0 global /
+    1 per-address), index_scheme (0 concat / 1 xor), history_bits,
+    pht_mask, pc_fill_bits, bht_mask, ctr_threshold, ctr_max,
+    hist_mask]``.  ``pht`` holds the n-bit counters (uint8); ``bht``
+    the per-address history rows (int64; a 1-element dummy for global
+    or zero-length histories).
+    """
+    ghr = regs[HIST]
+    history_kind = params[0]
+    index_scheme = params[1]
+    history_bits = params[2]
+    pht_mask = params[3]
+    pc_fill_bits = params[4]
+    bht_mask = params[5]
+    ctr_threshold = params[6]
+    ctr_max = params[7]
+    hist_mask = params[8]
+    n = pcs.shape[0]
+    for i in range(n):
+        pc = pcs[i]
+        taken = outcomes[i]
+        if history_bits == 0:
+            h = 0
+        elif history_kind == 0:
+            h = ghr
+        else:
+            h = bht[pc & bht_mask]
+        if index_scheme == 0:
+            index = ((h << pc_fill_bits) | (pc & ((1 << pc_fill_bits) - 1))) & pht_mask
+        else:
+            index = (h ^ pc) & pht_mask
+        v = pht[index]
+        predictions[i] = 1 if v >= ctr_threshold else 0
+        if taken != 0:
+            if v < ctr_max:
+                pht[index] = v + 1
+        elif v > 0:
+            pht[index] = v - 1
+        if history_bits != 0:
+            if history_kind == 0:
+                ghr = ((ghr << 1) | taken) & hist_mask
+            else:
+                b = pc & bht_mask
+                bht[b] = ((bht[b] << 1) | taken) & hist_mask
+    regs[HIST] = ghr
 
 
 def yags_step(pcs, outcomes, predictions, regs, params, choice, t_tags, t_valid, t_ctr, nt_tags, nt_valid, nt_ctr):

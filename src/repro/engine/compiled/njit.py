@@ -9,7 +9,7 @@ automatically — see :mod:`repro.engine.backend`.
 The kernels in :mod:`.kernels` are written in the numba-friendly
 subset (flat arrays, scalar registers, no Python objects), so this
 module is nothing but ``njit`` applied to them.  ``nogil=True`` lets
-the intra-trace worker pool overlap jitted chunks on real threads.
+concurrent service jobs overlap jitted chunks on real threads.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ except Exception as exc:  # pragma: no cover - import probe
 # copy, which is exactly the behaviour we want for process pools.
 _cache: dict[str, object] = {}
 
-_KERNELS = ("yags_step", "bimode_step", "filter_step", "dhlf_step")
-
 
 def load() -> dict[str, object]:
     """The jitted kernel table ``{name: callable}``; raises when numba
@@ -45,7 +43,7 @@ def load() -> dict[str, object]:
         raise RuntimeError(_cache["error"])
     try:  # pragma: no cover - exercised only where numba is installed
         jit = numba.njit(cache=True, nogil=True)
-        _cache["table"] = {name: jit(getattr(kernels, name)) for name in _KERNELS}
+        _cache["table"] = {name: jit(getattr(kernels, name)) for name in kernels.KERNELS}
     except Exception as exc:  # pragma: no cover - defensive: jit failure
         _cache["error"] = f"numba backend unavailable: njit failed ({exc})"
         raise RuntimeError(_cache["error"]) from exc

@@ -73,13 +73,17 @@ class SimulationResult(Mapping[int, BranchResult]):
             raise TraceError("counts must be non-negative")
         for arr in (self._pcs, self._executions, self._mispredictions):
             arr.setflags(write=False)
-        self._index = {int(pc): i for i, pc in enumerate(self._pcs)}
+        # pc -> row, built on the first lookup: sweeps create many results
+        # that are only ever read column-wise.
+        self._index: dict[int, int] | None = None
         self.predictor_name = predictor_name
         self.trace_name = trace_name
 
     # -- mapping protocol ---------------------------------------------------
 
     def __getitem__(self, pc: int) -> BranchResult:
+        if self._index is None:
+            self._index = {int(p): i for i, p in enumerate(self._pcs)}
         i = self._index[pc]
         return BranchResult(
             pc=int(self._pcs[i]),

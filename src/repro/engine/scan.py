@@ -19,16 +19,6 @@ value is constant within each segment (each segment resumes from its
 own carried state) — the hook the streaming engines
 (:mod:`repro.engine.streaming`) use to continue counter evolution
 across chunk boundaries bit-exactly.
-
-The same algebra also supports *speculative* chunk execution
-(:mod:`repro.engine.parallel`): a chunk's effect on a counter is a
-monoid element independent of the counter's entry state
-(:func:`segmented_monoid_scan` returns interned function ids instead
-of states), and a chunk's effect on a shift-register history is the
-pair ``(shift, bits)`` (:func:`history_effect`), closed under
-composition (:func:`compose_history_effects`).  Workers can therefore
-summarize chunks in parallel before any chunk's entry state is known,
-and a cheap serial pass stitches the summaries together bit-exactly.
 """
 
 from __future__ import annotations
@@ -41,14 +31,8 @@ import numpy as np
 from ..errors import ConfigurationError
 
 __all__ = [
-    "ClampMonoid",
-    "apply_history_effect",
-    "clamp_monoid",
-    "compose_history_effects",
     "counter_step_table",
-    "history_effect",
     "segmented_automaton_scan",
-    "segmented_monoid_scan",
     "segmented_saturating_scan",
     "stable_key_order",
 ]
@@ -291,17 +275,13 @@ class ClampMonoid(NamedTuple):
       ``cur``",
     * ``values[id, state]`` — the function's value table,
     * ``constant[id]`` — True when the function is constant (its window
-      can never change by extending further left),
-    * ``identity`` — id of the identity function (an empty window; not
-      reachable from any nonempty inc/dec word, so appending it leaves
-      the generated ids untouched).
+      can never change by extending further left).
     """
 
     step_ids: np.ndarray
     compose: np.ndarray
     values: np.ndarray
     constant: np.ndarray
-    identity: int
 
 
 @lru_cache(maxsize=None)
@@ -325,10 +305,6 @@ def _clamp_monoid(max_state: int) -> ClampMonoid:
                     fresh.append(composed)
         frontier = fresh
 
-    identity_tuple = tuple(states)
-    if identity_tuple not in ids:
-        ids[identity_tuple] = len(ids)
-
     functions = sorted(ids, key=ids.get)
     size = len(functions)
     compose = np.empty((size, size), dtype=np.uint8)
@@ -338,20 +314,7 @@ def _clamp_monoid(max_state: int) -> ClampMonoid:
     values = np.array(functions, dtype=np.uint8)
     constant = (values == values[:, :1]).all(axis=1)
     step_ids = np.array([ids[dec], ids[inc]], dtype=np.uint8)
-    return ClampMonoid(step_ids, compose, values, constant, ids[identity_tuple])
-
-
-def clamp_monoid(max_state: int) -> ClampMonoid:
-    """The :class:`ClampMonoid` of a counter saturating at ``max_state``.
-
-    Only narrow counters are tabled; wider ones raise (their scans use
-    the three-scalar clamp arithmetic instead).
-    """
-    if not 1 <= max_state <= _MAX_TABLED_STATE:
-        raise ConfigurationError(
-            f"tabled monoid needs max_state in [1, {_MAX_TABLED_STATE}], got {max_state}"
-        )
-    return _clamp_monoid(max_state)
+    return ClampMonoid(step_ids, compose, values, constant)
 
 
 def _monoid_after_ids(
@@ -395,36 +358,6 @@ def _monoid_after_ids(
         offset <<= 1
         active = idx[~finished]
     return ids
-
-
-def segmented_monoid_scan(
-    taken: np.ndarray, segment_starts: np.ndarray, max_state: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step clamp-function ids of a segmented counter scan.
-
-    Returns ``(before_ids, after_ids)``: ``after_ids[i]`` composes the
-    segment's steps through ``i``; ``before_ids[i]`` excludes step ``i``
-    (the monoid identity at segment starts).  Unlike
-    :func:`segmented_saturating_scan`, the result is independent of any
-    initial state — the hook speculative chunk execution uses to
-    summarize a chunk before its entry states are known, then evaluate
-    ``values[before_ids[i], entry_state]`` once they are.
-    """
-    n = len(taken)
-    monoid = clamp_monoid(max_state)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.uint8)
-        return empty, empty
-    segment_starts = np.asarray(segment_starts, dtype=bool)
-    if len(segment_starts) != n:
-        raise ConfigurationError("segment_starts must align with inputs")
-    if not segment_starts[0]:
-        raise ConfigurationError("position 0 must start a segment")
-    after_ids = _monoid_after_ids(taken, segment_starts, max_state)
-    before_ids = np.empty(n, dtype=np.uint8)
-    before_ids[1:] = after_ids[:-1]
-    before_ids[segment_starts] = monoid.identity
-    return before_ids, after_ids
 
 
 def _saturating_scan_tabled(
@@ -474,43 +407,3 @@ def _states_before(
         state_before[0] = initial_state
         state_before[segment_starts] = initial_state
     return state_before
-
-
-# -- history registers as shift-map effects -----------------------------------
-#
-# Pushing a run of outcomes through a k-bit shift register is the map
-# value -> ((value << s) | v) & mask, where s = min(run length, k) and
-# v packs the run's last s outcomes.  These maps are closed under
-# composition, so a chunk's effect on every history register can be
-# summarized without knowing the register's starting value — the
-# shift-register counterpart of the clamp monoid above, and the other
-# half of what speculative chunk execution needs.
-
-
-def history_effect(outcomes: np.ndarray, bits: int) -> tuple[int, int]:
-    """The ``(shift, value)`` effect of pushing ``outcomes`` (oldest
-    first, 0/1) through a ``bits``-wide shift register."""
-    if bits < 0:
-        raise ConfigurationError(f"history length must be >= 0, got {bits}")
-    shift = min(len(outcomes), bits)
-    if shift == 0:
-        return 0, 0
-    tail = np.asarray(outcomes[-shift:], dtype=np.int64)
-    weights = np.int64(1) << np.arange(shift - 1, -1, -1, dtype=np.int64)
-    return shift, int(tail @ weights)
-
-
-def compose_history_effects(
-    first: tuple[int, int], second: tuple[int, int], bits: int
-) -> tuple[int, int]:
-    """The effect of applying ``first`` then ``second``."""
-    first_shift, first_value = first
-    second_shift, second_value = second
-    shift = min(first_shift + second_shift, bits)
-    return shift, ((first_value << second_shift) | second_value) & ((1 << shift) - 1)
-
-
-def apply_history_effect(value: int, effect: tuple[int, int], bits: int) -> int:
-    """The register value after an effect, from the value before it."""
-    shift, pushed = effect
-    return ((value << shift) | pushed) & ((1 << bits) - 1)

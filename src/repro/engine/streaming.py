@@ -49,7 +49,7 @@ from ..predictors.static import (
 from ..predictors.tournament import TournamentPredictor
 from ..predictors.twolevel import TwoLevelPredictor
 from ..trace.stream import Trace
-from .batched import DEFAULT_MAX_CHUNK_ELEMENTS, _spec_of
+from .batched import DEFAULT_MAX_CHUNK_ELEMENTS, _spec_of, compiled_batch
 from .results import SimulationResult
 from .scan import (
     counter_step_table,
@@ -773,6 +773,21 @@ class BatchedStream:
         return [predictions[i * n : (i + 1) * n] for i in range(count)]
 
 
+def _check_workers(workers) -> None:
+    """Validate the retired ``workers=`` keyword: ``None``, ``"auto"``
+    or a positive count, as before; the value itself is unused."""
+    if workers is None or workers == "auto":
+        return
+    try:
+        count = int(workers)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ConfigurationError(
+            f"workers must be a positive integer or 'auto', got {workers!r}"
+        )
+
+
 def simulate_batched_stream(
     predictors,
     chunks: Iterable,
@@ -780,32 +795,26 @@ def simulate_batched_stream(
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
     trace_name: str | None = None,
     workers: int | str | None = None,
+    backend: str | None = None,
 ) -> list[SimulationResult]:
     """Streaming counterpart of :func:`repro.engine.simulate_batched`.
 
     Bit-identical results with peak memory O(chunk × configs-per-pass)
-    instead of O(trace).  ``workers`` (default: ``REPRO_SWEEP_WORKERS``,
-    else 1) enables the speculative intra-trace pipeline of
-    :mod:`repro.engine.parallel`; results are bit-identical for every
-    worker count.
+    instead of O(trace).  ``backend`` picks the route exactly as in
+    :func:`~repro.engine.simulate_batched`: a compiled backend runs the
+    ``twolevel_step`` kernel per unique geometry and chunk
+    (:class:`~repro.engine.batched.CompiledBatch`), ``python`` the
+    stacked numpy scans of :class:`BatchedStream`.  ``workers`` is
+    still accepted and validated (a positive count or ``"auto"``) but
+    changes nothing: the sweep runs on the calling thread.
     """
-    from .parallel import (
-        resolve_workers,
-        simulate_batched_stream_parallel,
-        supports_parallel_sweep,
-    )
-
+    _check_workers(workers)
+    if max_chunk_elements < 1:
+        raise ConfigurationError("max_chunk_elements must be positive")
     predictors = list(predictors)
-    worker_count = resolve_workers(workers)
-    if worker_count > 1 and supports_parallel_sweep(predictors):
-        return simulate_batched_stream_parallel(
-            predictors,
-            chunks,
-            workers=worker_count,
-            max_chunk_elements=max_chunk_elements,
-            trace_name=trace_name,
-        )
-    driver = BatchedStream(predictors, max_chunk_elements=max_chunk_elements)
+    driver = compiled_batch(predictors, backend)
+    if driver is None:
+        driver = BatchedStream(predictors, max_chunk_elements=max_chunk_elements)
     accumulator = _StreamAccumulator(len(predictors))
     name = trace_name
     for chunk in chunks:
@@ -839,14 +848,14 @@ def simulate_sweep_stream(
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
     trace_name: str | None = None,
     workers: int | str | None = None,
+    backend: str | None = None,
 ):
     """Streaming counterpart of :func:`repro.engine.batched.simulate_sweep`.
 
     The paper's full PAs/GAs sweep over a trace too big to hold in
-    memory: one pass over the chunk iterator, every configuration's
-    history windows and counter scans shared, results bit-identical to
-    the in-memory sweep.  ``workers`` > 1 runs chunks speculatively on
-    a thread pool (see :mod:`repro.engine.parallel`), still bit-exact.
+    memory: one pass over the chunk iterator, results bit-identical to
+    the in-memory sweep.  ``workers`` and ``backend`` as in
+    :func:`simulate_batched_stream` (``workers`` is validated, unused).
     """
     from ..predictors.paper_configs import HISTORY_LENGTHS, paper_predictor
     from .batched import BatchedSweepResult
@@ -861,6 +870,7 @@ def simulate_sweep_stream(
         max_chunk_elements=max_chunk_elements,
         trace_name=trace_name,
         workers=workers,
+        backend=backend,
     )
 
     miss_counts: dict[tuple[str, int], np.ndarray] = {}

@@ -46,6 +46,14 @@ EVENT_POLL_INTERVAL = 0.05
 #: anything bigger is a mistake or abuse).
 MAX_BODY_BYTES = 1 << 20
 
+#: Header lines above this count are rejected with 431.
+MAX_HEADERS = 64
+
+#: Seconds a client gets to send its whole request (line, headers and
+#: body); a slower one is answered 408, so a connection whose headers
+#: never end cannot be held open forever.
+REQUEST_TIMEOUT = 10.0
+
 
 class _HttpError(Exception):
     def __init__(self, status: int, message: str,
@@ -57,8 +65,9 @@ class _HttpError(Exception):
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
+    405: "Method Not Allowed", 408: "Request Timeout", 413: "Payload Too Large",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
 }
 
 
@@ -80,6 +89,14 @@ def _json_response(status: int, payload: Any,
     body = (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
     return _render_response(status, body, content_type="application/json",
                             extra=extra)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    """One request/header line; a line over the stream limit is a 431."""
+    try:
+        return (await reader.readline()).decode("latin-1")
+    except ValueError:  # asyncio.LimitOverrunError surfaces as ValueError
+        raise _HttpError(431, "request line or header too long") from None
 
 
 class ServiceServer:
@@ -166,7 +183,18 @@ class ServiceServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        try:
+            async with asyncio.timeout(REQUEST_TIMEOUT):
+                return await self._read_request_unbounded(reader)
+        except TimeoutError:
+            raise _HttpError(
+                408, f"request not received within {REQUEST_TIMEOUT:g}s"
+            ) from None
+
+    async def _read_request_unbounded(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[str, str, bytes]:
+        request_line = (await _read_line(reader)).strip()
         if not request_line:
             raise _HttpError(400, "empty request")
         parts = request_line.split()
@@ -174,8 +202,8 @@ class ServiceServer:
             raise _HttpError(400, f"malformed request line {request_line!r}")
         method, path, _version = parts
         content_length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
+        for _ in range(MAX_HEADERS + 1):
+            line = (await _read_line(reader)).strip()
             if not line:
                 break
             name, _, value = line.partition(":")
@@ -184,6 +212,10 @@ class ServiceServer:
                     content_length = int(value.strip())
                 except ValueError:
                     raise _HttpError(400, "bad Content-Length") from None
+                if content_length < 0:
+                    raise _HttpError(400, "bad Content-Length")
+        else:
+            raise _HttpError(431, f"more than {MAX_HEADERS} header lines")
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body over {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(content_length) if content_length else b""

@@ -19,10 +19,12 @@ frozen :class:`~repro.spec.PredictorSpec` descriptions) and the session
    invocation;
 2. **plans** — jobs on the same trace whose specs belong to the
    two-level family are grouped into a *single*
-   :func:`~repro.engine.simulate_batched` invocation (shared history
-   windows, one PC encoding, stacked scans), while the remaining specs
-   route to the vectorized engine when supported and the reference
-   engine otherwise;
+   :func:`~repro.engine.simulate_batched` invocation (one PC
+   encoding, the compiled two-level kernel or shared numpy scans),
+   the remaining specs route to the vectorized engine when supported,
+   and everything else to :func:`~repro.engine.simulate`'s ``auto``
+   dispatch (a compiled per-record kernel when the family has one,
+   the reference engine otherwise);
 3. **memoizes** — results are cached for the lifetime of the session,
    so resubmitting a job after :meth:`Session.run` costs nothing.
 
@@ -186,7 +188,9 @@ class PlannedBatch:
     """One engine invocation the session will make for one trace.
 
     ``engine == "batched"`` means all entries run in a *single*
-    multi-configuration pass; other engines run one entry at a time.
+    multi-configuration pass; other engines (``"auto"`` included: the
+    single-predictor dispatch of :func:`repro.engine.simulate`) run one
+    entry at a time.
     """
 
     engine: str
@@ -272,21 +276,20 @@ class Session:
     engine:
         Default engine request for submitted jobs.  ``"auto"`` lets the
         planner choose (batched for two-level-family specs, vectorized
-        when supported, reference otherwise); ``"batched"``,
-        ``"vectorized"`` and ``"reference"`` force that engine.
+        when supported, otherwise :func:`~repro.engine.simulate`'s own
+        ``auto`` dispatch — plan label ``"auto"`` — which runs a
+        compiled kernel when the family has one and the reference
+        engine otherwise); ``"batched"``, ``"vectorized"`` and
+        ``"reference"`` force that engine.
     max_chunk_elements:
         Memory bound forwarded to the batched engine.
     backend:
-        Compiled-kernel backend for reference-path families
+        Compiled-kernel backend for the batched two-level sweep and
+        the reference-path families
         (``auto``/``python``/``numba``/``cext``; see
         :mod:`repro.engine.backend`).  ``None`` defers to
         ``REPRO_ENGINE_BACKEND``.  Backends are bit-identical, so the
         session memo is unaffected by this choice.
-    workers:
-        Worker count for intra-trace parallel sweeps over streamed
-        workloads (``"auto"`` = cpu count; see
-        :mod:`repro.engine.parallel`).  ``None`` defers to
-        ``REPRO_SWEEP_WORKERS`` (default serial).
 
     Lifecycle: :meth:`submit` any number of jobs, optionally inspect
     :meth:`plan`, then :meth:`run` — which returns a
@@ -300,7 +303,6 @@ class Session:
         engine: str = "auto",
         max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
         backend: str | None = None,
-        workers: int | str | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ConfigurationError(f"engine {engine!r} not in {ENGINES}")
@@ -311,7 +313,6 @@ class Session:
         self.engine = engine
         self.max_chunk_elements = max_chunk_elements
         self.backend = backend
-        self.workers = workers
         self._pending: list[SimulationJob] = []
         self._submitted = 0
         # Workloads are grouped by *content*: workload specs key on
@@ -406,7 +407,10 @@ class Session:
         if job.engine == "auto":
             if batchable_spec(job.spec):
                 return "batched"
-            return "vectorized" if vectorizable_spec(job.spec) else "reference"
+            # Neither batched nor vectorized: simulate()'s own "auto"
+            # picks the compiled kernel (honouring self.backend) before
+            # falling back to the reference loop.
+            return "vectorized" if vectorizable_spec(job.spec) else "auto"
         if job.engine == "batched" and not batchable_spec(job.spec):
             raise ConfigurationError(
                 f"spec kind {job.spec.kind!r} cannot use the batched engine "
@@ -479,7 +483,7 @@ class Session:
                         streamed.chunks(),
                         max_chunk_elements=self.max_chunk_elements,
                         trace_name=streamed.name,
-                        workers=self.workers,
+                        backend=self.backend,
                     )
                     for entry, result in zip(fresh, results):
                         self._memo[(slot, entry.spec, batch.engine)] = result
@@ -498,6 +502,7 @@ class Session:
                     [entry.spec.build() for entry in fresh],
                     batch.trace,
                     max_chunk_elements=self.max_chunk_elements,
+                    backend=self.backend,
                 )
                 for entry, result in zip(fresh, results):
                     self._memo[(slot, entry.spec, batch.engine)] = result

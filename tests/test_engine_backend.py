@@ -5,24 +5,40 @@ every available backend, every reference-path family (YAGS, bi-mode,
 filter, DHLF) and every chunk split — including one record per chunk
 and one chunk for the whole trace — the compiled per-record kernels
 produce byte-identical predictions to the stateful reference
-predictors.  Selection rules (explicit argument > environment > auto,
+predictors.  The two-level kernel behind the batched sweep is checked
+by generation: random legal geometries, traces and chunk splits
+(empty and 1-record chunks included) against the reference engine.
+Selection rules (explicit argument > environment > auto,
 unavailable-by-name raises, ``python`` always works) are pinned here
 too; docs/PERFORMANCE.md documents the same matrix for users.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import simulate, simulate_stream
+from repro.engine import (
+    simulate,
+    simulate_batched,
+    simulate_batched_stream,
+    simulate_reference,
+    simulate_stream,
+    simulate_sweep,
+    simulate_sweep_stream,
+)
 from repro.engine.backend import (
     BACKENDS,
+    _kernel_table,
     backend_availability,
     compiled_stream,
     resolve_backend,
     supports_compiled,
 )
+from repro.engine.batched import CompiledBatch
 from repro.engine.streaming import stream_simulator
 from repro.errors import ConfigurationError
+from repro.predictors.paper_configs import HISTORY_LENGTHS, paper_spec
 from repro.session import Session
 from repro.spec import (
     BimodalSpec,
@@ -226,19 +242,166 @@ class TestSessionAndCliPlumbing:
         out = capsys.readouterr().out
         assert "python" in out and "available" in out
 
-    def test_cli_rejects_bad_workers(self, capsys):
-        from repro.cli import main
 
-        code = main(
-            [
-                "simulate",
-                "--spec",
-                '{"kind": "bimodal"}',
-                "--workload",
-                '{"kind": "kernel", "name": "bubble_sort", "size": 32}',
-                "--workers",
-                "many",
-            ]
+# -- the two-level sweep kernel: a generative differential oracle -------------
+
+#: Kernel backends the oracle runs; numba joins only where it imports.
+ORACLE_BACKENDS = [
+    pytest.param(
+        name,
+        marks=pytest.mark.skipif(
+            not backend_availability()[name][0],
+            reason=f"{name} unavailable: {backend_availability()[name][1]}",
+        ),
+    )
+    for name in ("python", "numba", "cext")
+]
+
+
+@st.composite
+def twolevel_specs(draw):
+    """A legal two-level or bimodal spec, or one of the paper's 34."""
+    family = draw(st.sampled_from(["two-level", "bimodal", "paper"]))
+    if family == "paper":
+        return paper_spec(
+            draw(st.sampled_from(["pas", "gas"])), draw(st.sampled_from(HISTORY_LENGTHS))
         )
-        assert code == 1
-        assert "--workers" in capsys.readouterr().err
+    counter_bits = draw(st.integers(1, 8))
+    if family == "bimodal":
+        return BimodalSpec(entries=1 << draw(st.integers(0, 12)), counter_bits=counter_bits)
+    history_bits = draw(st.integers(0, 16))
+    index_scheme = draw(st.sampled_from(["concat", "xor"]))
+    low = max(history_bits, 1) if index_scheme == "concat" else 1
+    history_kind = draw(st.sampled_from(["global", "per-address"]))
+    return TwoLevelSpec(
+        history_kind=history_kind,
+        history_bits=history_bits,
+        pht_index_bits=draw(st.integers(low, 16)),
+        index_scheme=index_scheme,
+        bht_entries=1 << draw(st.integers(0, 10)) if history_kind == "per-address" else None,
+        counter_bits=counter_bits,
+    )
+
+
+@st.composite
+def oracle_traces(draw, max_len=400):
+    """A spec95-model trace or a raw random one."""
+    from repro.workloads.synthetic.spec95 import InputSet, make_population
+
+    n = draw(st.integers(0, max_len))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        population = make_population(InputSet("gcc", f"oracle-{seed}", 0))
+        return population.generate(n, name="spec95-model")
+    rng = np.random.default_rng(seed)
+    span = draw(st.sampled_from([4, 64, 1 << 20]))
+    pcs = rng.integers(0, span, n) * 4 + 0x1000
+    return Trace(pcs, rng.integers(0, 2, n).astype(np.uint8), name="random")
+
+
+@st.composite
+def chunk_splits(draw, trace):
+    """``trace`` cut into chunks, empty and 1-record chunks included."""
+    sizes = draw(st.lists(st.sampled_from([0, 1, 2, 7, 64, 257]), max_size=12))
+    chunks, start = [], 0
+    for size in sizes:
+        chunks.append(trace[start : start + size])
+        start = min(start + size, len(trace))
+    chunks.append(trace[start:])
+    return chunks
+
+
+class TestTwoLevelKernelOracle:
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_reference(self, backend, data):
+        specs = data.draw(st.lists(twolevel_specs(), min_size=1, max_size=3))
+        trace = data.draw(oracle_traces())
+        chunks = data.draw(chunk_splits(trace))
+        batch = CompiledBatch(
+            [spec.build() for spec in specs], _kernel_table(backend)["twolevel_step"]
+        )
+        fed = [batch.feed(chunk.pcs, chunk.outcomes) for chunk in chunks]
+        for i, spec in enumerate(specs):
+            got = np.concatenate([predictions[i] for predictions in fed])
+            assert np.array_equal(got, reference_predictions(spec, trace)), spec
+
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_batched_entry_points_match_reference(self, backend, data):
+        specs = data.draw(st.lists(twolevel_specs(), min_size=1, max_size=3))
+        trace = data.draw(oracle_traces())
+        chunks = data.draw(chunk_splits(trace))
+        predictors = [spec.build() for spec in specs]
+        in_memory = simulate_batched(predictors, trace, backend=backend)
+        streamed = simulate_batched_stream(predictors, chunks, backend=backend)
+        for spec, a, b in zip(specs, in_memory, streamed):
+            want = simulate_reference(spec.build(), trace)
+            for got in (a, b):
+                assert np.array_equal(got.pcs, want.pcs)
+                assert np.array_equal(got.executions, want.executions)
+                assert np.array_equal(got.mispredictions, want.mispredictions), spec
+
+
+def _sweep_bytes(sweep) -> list[bytes]:
+    parts = [sweep.pcs.tobytes(), sweep.executions.tobytes()]
+    for key in sorted(sweep.keys()):
+        parts.append(sweep.mispredictions(*key).tobytes())
+        parts.append(sweep.result(*key).predictor_name.encode())
+    return parts
+
+
+@pytest.mark.skipif(
+    resolve_backend("auto") == "python", reason="no compiled backend on this host"
+)
+class TestSweepFallbackParity:
+    """The paper sweep gives the same bytes on the compiled route and on
+    the numpy fallback (``REPRO_ENGINE_BACKEND=python``)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_sweeps_identical_on_both_routes(self, data):
+        import os
+
+        trace = data.draw(oracle_traces(max_len=300))
+        chunks = data.draw(chunk_splits(trace))
+        routes = []
+        for backend in (None, "python"):
+            previous = os.environ.get("REPRO_ENGINE_BACKEND")
+            if backend is not None:
+                os.environ["REPRO_ENGINE_BACKEND"] = backend
+            try:
+                routes.append(
+                    (
+                        _sweep_bytes(simulate_sweep(trace)),
+                        _sweep_bytes(simulate_sweep_stream(chunks, trace_name=trace.name)),
+                    )
+                )
+            finally:
+                if previous is None:
+                    os.environ.pop("REPRO_ENGINE_BACKEND", None)
+                else:
+                    os.environ["REPRO_ENGINE_BACKEND"] = previous
+        (compiled, compiled_stream_), (numpy_, numpy_stream) = routes
+        assert compiled == numpy_ == compiled_stream_ == numpy_stream
+
+
+class TestRetiredWorkersKeyword:
+    """``workers=`` survives on the streaming sweep entry points as a
+    validated no-op (callers that still pass it keep working)."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, "auto"])
+    def test_workers_keyword_accepted_and_inert(self, workers):
+        trace = make_trace(n=500)
+        expected = _sweep_bytes(simulate_sweep(trace))
+        sweep = simulate_sweep_stream(
+            chunks_of(trace, 97), trace_name=trace.name, workers=workers
+        )
+        assert _sweep_bytes(sweep) == expected
+
+    @pytest.mark.parametrize("workers", [0, -2, "many", 1.5j])
+    def test_workers_keyword_still_validated(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            simulate_sweep_stream(chunks_of(make_trace(n=50), 10), workers=workers)

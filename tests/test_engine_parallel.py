@@ -1,13 +1,17 @@
-"""The speculative intra-trace parallel sweep and its scan algebra.
+"""Chunk-split invariance of the streaming sweep and the scan algebra under it.
 
-Two layers are pinned here.  The algebra layer: the interned clamp
-monoid (identity/associativity/step laws, init-independent segmented
-scans that replay correctly from *any* entry state) and the history
-shift-map effects (compose = concatenate).  The pipeline layer:
-``simulate_batched_stream(..., workers=N)`` is bit-identical to the
-sequential engines for every worker count and chunk split, including
-one-record chunks and a single chunk — the chunk-boundary
-reconciliation contract of ISSUE 10.
+The intra-trace worker pool is gone (the compiled ``twolevel_step``
+sweep replaced it), but the contracts it was held to remain and are
+pinned here.  The algebra layer: the interned clamp monoid the numpy
+fallback composes narrow counters with (step/composition laws,
+associativity), its segmented id scan replaying correctly from *any*
+entry state, and the carried global history register (feeding two
+chunks equals feeding their concatenation).  The pipeline layer:
+``simulate_batched_stream(..., workers=N)`` — ``workers`` is still
+accepted and validated but changes nothing — is bit-identical to the
+in-memory engine for every worker count and chunk split, including
+one-record chunks and a single chunk, on the compiled path and on the
+numpy fallback alike.
 """
 
 import itertools
@@ -16,26 +20,21 @@ import numpy as np
 import pytest
 
 from repro.engine.batched import simulate_batched, simulate_sweep
-from repro.engine.parallel import (
-    resolve_workers,
-    simulate_batched_stream_parallel,
-    supports_parallel_sweep,
+from repro.engine.scan import _clamp_monoid, _monoid_after_ids, segmented_saturating_scan
+from repro.engine.streaming import (
+    _GlobalHistoryState,
+    simulate_batched_stream,
+    simulate_sweep_stream,
 )
-from repro.engine.scan import (
-    apply_history_effect,
-    clamp_monoid,
-    compose_history_effects,
-    history_effect,
-    segmented_monoid_scan,
-)
-from repro.engine.streaming import simulate_batched_stream, simulate_sweep_stream
 from repro.errors import ConfigurationError
-from repro.predictors.paper_configs import paper_predictor
 from repro.spec import BimodalSpec, TwoLevelSpec
 from repro.trace.stream import Trace
 
 WORKER_COUNTS = (1, 2, 4)
 CHUNK_LENGTHS = (1, 7, 997, 1 << 20)
+# ``None`` resolves like every caller does (compiled when available);
+# ``python`` forces the numpy scans.
+STREAM_BACKENDS = (None, "python")
 
 
 def make_trace(n=3000, seed=7, static=90, name="parallel-test"):
@@ -67,43 +66,26 @@ def clamp_word(word, state, max_state):
 
 
 class TestClampMonoid:
-    @pytest.mark.parametrize("max_state", (1, 2, 3, 7))
-    def test_identity_laws(self, max_state):
-        monoid = clamp_monoid(max_state)
-        e = monoid.identity
-        assert np.array_equal(
-            monoid.values[e], np.arange(max_state + 1, dtype=monoid.values.dtype)
-        )
-        for fid in range(len(monoid.values)):
-            assert monoid.compose[fid, e] == fid
-            assert monoid.compose[e, fid] == fid
-
     @pytest.mark.parametrize("max_state", (1, 3, 7))
     def test_steps_and_composition_match_brute_force(self, max_state):
-        monoid = clamp_monoid(max_state)
+        monoid = _clamp_monoid(max_state)
         rng = np.random.default_rng(max_state)
         for _ in range(50):
             word = rng.integers(0, 2, rng.integers(1, 12)).tolist()
-            fid = monoid.identity
-            for step in word:
+            fid = monoid.step_ids[word[0]]
+            for step in word[1:]:
                 fid = monoid.compose[monoid.step_ids[step], fid]
             for init in range(max_state + 1):
                 assert monoid.values[fid, init] == clamp_word(word, init, max_state)
 
     def test_associativity_exhaustive_small(self):
-        monoid = clamp_monoid(3)
+        monoid = _clamp_monoid(3)
         ids = range(len(monoid.values))
         for a, b, c in itertools.product(ids, repeat=3):
             assert (
                 monoid.compose[monoid.compose[c, b], a]
                 == monoid.compose[c, monoid.compose[b, a]]
             )
-
-    def test_rejects_wide_counters(self):
-        with pytest.raises(ConfigurationError):
-            clamp_monoid(8)
-        with pytest.raises(ConfigurationError):
-            clamp_monoid(0)
 
 
 class TestSegmentedMonoidScan:
@@ -116,22 +98,23 @@ class TestSegmentedMonoidScan:
         starts = np.zeros(n, dtype=bool)
         starts[0] = True
         starts[rng.integers(1, n, 12)] = True
-        before_ids, after_ids = segmented_monoid_scan(taken, starts, max_state)
-        monoid = clamp_monoid(max_state)
+        after_ids = _monoid_after_ids(taken, starts, max_state)
+        monoid = _clamp_monoid(max_state)
         for init in range(max_state + 1):
+            before = segmented_saturating_scan(taken, starts, init, max_state)
             state = init
             for i in range(n):
                 if starts[i]:
                     state = init
-                assert monoid.values[before_ids[i], init] == state
+                assert before[i] == state
                 state = clamp_word([int(taken[i])], state, max_state)
                 assert monoid.values[after_ids[i], init] == state
 
     def test_empty_input(self):
-        before, after = segmented_monoid_scan(
-            np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool), 3
+        before = segmented_saturating_scan(
+            np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool), 1, 3
         )
-        assert len(before) == 0 and len(after) == 0
+        assert len(before) == 0
 
 
 class TestHistoryEffects:
@@ -140,76 +123,42 @@ class TestHistoryEffects:
     def test_compose_equals_concatenate(self, bits, seed):
         rng = np.random.default_rng(seed)
         for _ in range(40):
-            a = rng.integers(0, 2, rng.integers(0, 20))
-            b = rng.integers(0, 2, rng.integers(0, 20))
-            combined = compose_history_effects(
-                history_effect(a, bits), history_effect(b, bits), bits
-            )
-            assert combined == history_effect(np.concatenate([a, b]), bits)
+            a = rng.integers(0, 2, rng.integers(0, 20)).astype(np.uint8)
+            b = rng.integers(0, 2, rng.integers(0, 20)).astype(np.uint8)
+            split = _GlobalHistoryState(bits)
+            windows = np.concatenate([split.windows(a), split.windows(b)])
+            whole = _GlobalHistoryState(bits)
+            assert np.array_equal(windows, whole.windows(np.concatenate([a, b])))
+            assert split.value == whole.value
 
     @pytest.mark.parametrize("bits", (1, 4, 12))
     def test_apply_matches_shift_register(self, bits):
         rng = np.random.default_rng(bits)
         mask = (1 << bits) - 1
         for _ in range(40):
-            outcomes = rng.integers(0, 2, rng.integers(0, 20))
-            value = int(rng.integers(0, mask + 1))
-            expected = value
-            for bit in outcomes:
+            outcomes = rng.integers(0, 2, rng.integers(0, 20)).astype(np.uint8)
+            register = _GlobalHistoryState(bits)
+            register.value = int(rng.integers(0, mask + 1))
+            expected = register.value
+            windows = register.windows(outcomes)
+            for i, bit in enumerate(outcomes):
+                assert windows[i] == expected
                 expected = ((expected << 1) | int(bit)) & mask
-            got = apply_history_effect(
-                value, history_effect(outcomes, bits), bits
-            )
-            assert got == expected
+            assert register.value == expected
 
     def test_zero_bits_register_absorbs_everything(self):
-        effect = history_effect(np.array([1, 0, 1]), 0)
-        assert effect == (0, 0)
-        assert apply_history_effect(0, effect, 0) == 0
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ConfigurationError):
-            history_effect(np.array([1]), -1)
+        register = _GlobalHistoryState(0)
+        windows = register.windows(np.array([1, 0, 1], dtype=np.uint8))
+        assert not windows.any()
+        assert register.value == 0
 
 
 class TestResolveWorkers:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
-        assert resolve_workers() == 1
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-        assert resolve_workers() == 3
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-        assert resolve_workers(2) == 2
-
-    def test_auto_is_cpu_count(self):
-        import os
-
-        assert resolve_workers("auto") == (os.cpu_count() or 1)
-
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_workers(0)
+            simulate_batched_stream([BimodalSpec().build()], iter(()), workers=0)
         with pytest.raises(ConfigurationError):
-            resolve_workers("lots")
-
-
-class TestSupportsParallelSweep:
-    def test_paper_configs_supported(self):
-        predictors = [paper_predictor("pas", 4), paper_predictor("gas", 8)]
-        assert supports_parallel_sweep(predictors)
-
-    def test_wide_counters_fall_back(self):
-        wide = TwoLevelSpec(history_bits=4, counter_bits=4).build()
-        assert not supports_parallel_sweep([wide])
-
-    def test_non_twolevel_family_falls_back(self):
-        from repro.spec import YagsSpec
-
-        assert not supports_parallel_sweep([YagsSpec().build()])
+            simulate_batched_stream([BimodalSpec().build()], iter(()), workers="lots")
 
 
 SWEEP_SPECS = [
@@ -231,26 +180,27 @@ class TestParallelSweepBitIdentity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("chunk_len", CHUNK_LENGTHS)
     def test_matches_in_memory_batched(self, workers, chunk_len):
-        predictors = [spec.build() for spec in SWEEP_SPECS]
         base = simulate_batched([spec.build() for spec in SWEEP_SPECS], TRACE)
-        results = simulate_batched_stream_parallel(
-            predictors,
-            chunks_of(TRACE, chunk_len),
-            workers=workers,
-        )
-        for expected, got in zip(base, results):
-            assert np.array_equal(got.pcs, expected.pcs)
-            assert np.array_equal(got.executions, expected.executions)
-            assert np.array_equal(got.mispredictions, expected.mispredictions)
+        for backend in STREAM_BACKENDS:
+            results = simulate_batched_stream(
+                [spec.build() for spec in SWEEP_SPECS],
+                chunks_of(TRACE, chunk_len),
+                workers=workers,
+                backend=backend,
+            )
+            for expected, got in zip(base, results):
+                assert np.array_equal(got.pcs, expected.pcs)
+                assert np.array_equal(got.executions, expected.executions)
+                assert np.array_equal(got.mispredictions, expected.mispredictions)
 
     def test_small_chunk_budget_forces_config_batches(self):
-        predictors = [spec.build() for spec in SWEEP_SPECS]
         base = simulate_batched([spec.build() for spec in SWEEP_SPECS], TRACE)
-        results = simulate_batched_stream_parallel(
-            predictors,
+        results = simulate_batched_stream(
+            [spec.build() for spec in SWEEP_SPECS],
             chunks_of(TRACE, 997),
             workers=2,
             max_chunk_elements=1 << 11,
+            backend="python",
         )
         for expected, got in zip(base, results):
             assert np.array_equal(got.mispredictions, expected.mispredictions)
@@ -267,6 +217,8 @@ class TestParallelSweepBitIdentity:
             assert np.array_equal(got.mispredictions, expected.mispredictions)
 
     def test_env_workers_used_by_default(self, monkeypatch):
+        # A leftover REPRO_SWEEP_WORKERS from the retired worker pool is
+        # ignored: the default path runs and its bytes are unchanged.
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
         base = simulate_batched([spec.build() for spec in SWEEP_SPECS], TRACE)
         results = simulate_batched_stream(
@@ -286,23 +238,23 @@ class TestParallelSweepBitIdentity:
                 result.mispredictions(*key), base.mispredictions(*key)
             )
 
-    def test_unsupported_predictors_fall_back_sequential(self, monkeypatch):
-        # Wide counters cannot use the tabled monoid: workers>1 must
-        # quietly run the sequential path, not crash or change results.
+    def test_unsupported_predictors_fall_back_sequential(self):
+        # Wide counters take the arithmetic clamp scan on the numpy
+        # fallback and the kernel's 1-8-bit path when compiled: either
+        # way, workers>1 must change neither the route nor the results.
         wide = TwoLevelSpec(history_bits=4, counter_bits=4)
         base = simulate_batched([wide.build()], TRACE)
-        results = simulate_batched_stream(
-            [wide.build()], chunks_of(TRACE, 512), workers=4
-        )
-        assert np.array_equal(
-            results[0].mispredictions, base[0].mispredictions
-        )
+        for backend in STREAM_BACKENDS:
+            results = simulate_batched_stream(
+                [wide.build()], chunks_of(TRACE, 512), workers=4, backend=backend
+            )
+            assert np.array_equal(
+                results[0].mispredictions, base[0].mispredictions
+            )
 
     def test_empty_trace(self):
         predictors = [spec.build() for spec in SWEEP_SPECS]
-        results = simulate_batched_stream_parallel(
-            predictors, iter(()), workers=2
-        )
+        results = simulate_batched_stream(predictors, iter(()), workers=2)
         assert len(results) == len(SWEEP_SPECS)
         for result in results:
             assert result.total_executions == 0

@@ -259,6 +259,101 @@ class TestServiceEndToEnd:
             assert client.jobs() == []
 
 
+def raw_exchange(port, payload, *, hold_open=False, timeout=30):
+    """Send raw bytes, return (status code, raw response, seconds waited).
+
+    With ``hold_open`` the client never finishes its request: it sends
+    ``payload`` and then waits for the server to answer anyway.
+    """
+    import socket
+
+    start = time.monotonic()
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(payload)
+        if not hold_open:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            chunks.append(data)
+    response = b"".join(chunks)
+    status = int(response.split(b" ", 2)[1]) if response else None
+    return status, response, time.monotonic() - start
+
+
+class TestHostileRequests:
+    """Broken or hostile HTTP input ends in a 4xx, never a dropped
+    connection or a socket held open forever."""
+
+    def test_negative_content_length_is_400(self, tmp_path):
+        with _ServerHarness(Scheduler(tmp_path / "cache", workers=1)) as harness:
+            status, response, _ = raw_exchange(
+                harness.server.port,
+                b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            )
+            assert status == 400
+            assert b"bad Content-Length" in response
+            # The server is still healthy afterwards.
+            assert harness.client.health()["status"] == "ok"
+
+    def test_headers_that_never_end_time_out_with_408(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.server.REQUEST_TIMEOUT", 0.5)
+        scheduler = Scheduler(tmp_path / "cache", workers=1)
+        with _ServerHarness(scheduler) as harness:
+            status, response, waited = raw_exchange(
+                harness.server.port,
+                b"GET /healthz HTTP/1.1\r\nX-Slow: 1\r\n",
+                hold_open=True,
+            )
+            assert status == 408
+            assert 0.4 < waited < 20
+            assert harness.client.health()["status"] == "ok"
+
+    def test_silent_client_times_out_with_408(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.server.REQUEST_TIMEOUT", 0.5)
+        scheduler = Scheduler(tmp_path / "cache", workers=1)
+        with _ServerHarness(scheduler) as harness:
+            status, _, _ = raw_exchange(harness.server.port, b"", hold_open=True)
+            assert status == 408
+
+    def test_too_many_headers_is_431(self, tmp_path):
+        from repro.service.server import MAX_HEADERS
+
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS + 1))
+        with _ServerHarness(Scheduler(tmp_path / "cache", workers=1)) as harness:
+            status, _, _ = raw_exchange(
+                harness.server.port,
+                b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n",
+            )
+            assert status == 431
+            # Exactly the cap is still fine.
+            ok = b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS))
+            status, _, _ = raw_exchange(
+                harness.server.port, b"GET /healthz HTTP/1.1\r\n" + ok + b"\r\n"
+            )
+            assert status == 200
+
+    def test_overlong_header_line_is_431(self):
+        # Driven on a bare StreamReader: over a socket the server's close
+        # races the client's unsent bytes into a reset.
+        from repro.service.server import _HttpError, _read_line
+
+        async def status_of(data):
+            reader = asyncio.StreamReader(limit=64)
+            reader.feed_data(data)
+            reader.feed_eof()
+            try:
+                await _read_line(reader)
+            except _HttpError as exc:
+                return exc.status
+            return None
+
+        assert asyncio.run(status_of(b"X-Big: " + b"a" * 100 + b"\r\n")) == 431
+        assert asyncio.run(status_of(b"X-Ok: a\r\n")) is None
+
+
 class TestGcCoordination:
     def test_gc_fails_fast_while_served(self, tmp_path, capsys):
         from repro.cli import main

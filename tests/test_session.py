@@ -66,7 +66,7 @@ class TestPlanning:
         session.submit(trace, YagsSpec(history_bits=5, cache_index_bits=5, choice_index_bits=6))
         plan = session.plan()
         engines = {b.engine: len(b.entries) for b in plan.batches}
-        assert engines == {"batched": 2, "vectorized": 1, "reference": 1}
+        assert engines == {"batched": 2, "vectorized": 1, "auto": 1}
 
     def test_jobs_grouped_per_trace(self):
         t1, t2 = random_trace(seed=1, name="a"), random_trace(seed=2, name="b")
@@ -170,13 +170,53 @@ class TestExecution:
         ref = Session(engine="reference").simulate(trace, spec)
         assert np.array_equal(vec.mispredictions, ref.mispredictions)
 
-    def test_unsupported_spec_falls_back_to_reference(self):
+    def test_unvectorizable_spec_routes_to_simulate_auto(self):
         trace = random_trace(n=300)
         session = Session()
         job = session.submit(trace, DhlfSpec(pht_index_bits=7, interval=64))
-        assert session.plan().batches[0].engine == "reference"
+        assert session.plan().batches[0].engine == "auto"
         result = session.run()[job]
         assert result.total_executions == 300
+
+    @pytest.mark.parametrize("backend", ["python", "cext", None])
+    def test_unvectorizable_specs_run_compiled_kernels(self, backend, monkeypatch):
+        # YAGS, bi-mode, filter and DHLF reach simulate()'s compiled
+        # kernels under every backend (python runs the same kernels
+        # interpreted); only last-outcome, which has no kernel, runs the
+        # reference loop.  The bytes equal the reference engine's.
+        import repro.engine as engine
+        from repro.engine.backend import backend_availability
+        from repro.spec import BiModeSpec, FilterSpec, LastOutcomeSpec
+
+        if backend == "cext" and not backend_availability()["cext"][0]:
+            pytest.skip("no C compiler on this host")
+        trace = random_trace(n=600)
+        specs = [
+            YagsSpec(history_bits=5, cache_index_bits=5, choice_index_bits=6),
+            BiModeSpec(history_bits=5, direction_index_bits=8),
+            FilterSpec(),
+            DhlfSpec(pht_index_bits=7, interval=64),
+            LastOutcomeSpec(),
+        ]
+        expected = [simulate_reference(spec.build(), trace) for spec in specs]
+        reference_calls = []
+        original = engine.simulate_reference
+
+        def counting(predictor, trace):
+            reference_calls.append(predictor.name)
+            return original(predictor, trace)
+
+        monkeypatch.setattr(engine, "simulate_reference", counting)
+        session = Session(backend=backend)
+        jobs = [session.submit(trace, spec) for spec in specs]
+        assert {b.engine for b in session.plan().batches} == {"auto"}
+        results = session.run()
+        assert reference_calls == [LastOutcomeSpec().build().name]
+        for job, want in zip(jobs, expected):
+            got = results[job]
+            assert np.array_equal(got.pcs, want.pcs)
+            assert np.array_equal(got.executions, want.executions)
+            assert np.array_equal(got.mispredictions, want.mispredictions)
 
 
 class TestContentDedupe:
