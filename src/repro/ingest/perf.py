@@ -56,6 +56,10 @@ __all__ = [
 #: Bytes read (and fingerprinted) per block while streaming the source.
 _READ_BLOCK = 1 << 20
 
+#: Longest line parsed, in bytes.  A brstack sample of 32 entries is
+#: under 2 KiB; anything past this is not ``perf script`` text.
+_MAX_LINE = 1 << 16
+
 #: One brstack entry: from/to/flags, optionally followed by the
 #: in_tx/abort/cycles/type/... fields newer perf versions append.
 _BRSTACK_RE = re.compile(
@@ -160,6 +164,12 @@ class _LineHeader:
         self.pid = pid
         self.event = event
         self.payload_start = payload_start
+
+
+def _skip_long_line(report: IngestReport) -> None:
+    report.lines += 1
+    report.skipped_lines += 1
+    report._count("line-too-long")
 
 
 def _parse_header(tokens: list[str]) -> _LineHeader:
@@ -346,24 +356,44 @@ class PerfParser:
 
     # -- streaming pass -----------------------------------------------------
 
-    def _lines(self, fp: BinaryIO, digest: "hashlib._Hash") -> Iterator[str]:
+    def _lines(
+        self, fp: BinaryIO, digest: "hashlib._Hash", report: IngestReport
+    ) -> Iterator[str]:
         """Stream decoded lines while fingerprinting the raw bytes.
 
         The final line is yielded even without a trailing newline, so a
         dump truncated mid-record still parses (its broken tail is
-        counted as a skip, not an error).
+        counted as a skip, not an error).  A line longer than
+        :data:`_MAX_LINE` bytes is never buffered whole: it is dropped
+        up to its next newline (its bytes still fingerprinted) and
+        counted once as a ``line-too-long`` skip, so newline-free or
+        binary input costs linear time and O(block) memory.
         """
         tail = b""
+        discarding = False
         while True:
             block = fp.read(_READ_BLOCK)
             if not block:
                 break
             digest.update(block)
+            if discarding:
+                cut = block.find(b"\n")
+                if cut < 0:
+                    continue
+                block = block[cut + 1 :]
+                discarding = False
             tail += block
             if b"\n" in tail:
                 complete, tail = tail.rsplit(b"\n", 1)
                 for raw in complete.split(b"\n"):
-                    yield raw.decode("utf-8", errors="replace")
+                    if len(raw) > _MAX_LINE:
+                        _skip_long_line(report)
+                    else:
+                        yield raw.decode("utf-8", errors="replace")
+            if len(tail) > _MAX_LINE:
+                _skip_long_line(report)
+                tail = b""
+                discarding = True
         if tail:
             yield tail.decode("utf-8", errors="replace")
 
@@ -380,7 +410,7 @@ class PerfParser:
         except OSError as exc:
             raise TraceError(f"cannot read perf trace {self.path!r}: {exc}") from None
         with fp:
-            for line in self._lines(fp, digest):
+            for line in self._lines(fp, digest, report):
                 self._parse_line(line, report, pcs, taken)
                 while len(pcs) >= chunk_len:
                     yield Trace(

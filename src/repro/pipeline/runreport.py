@@ -193,6 +193,6 @@ class RunReport:
         if self.known_failures:
             payload["known_failures"] = self.known_failures
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, path)
         return path

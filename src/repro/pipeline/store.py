@@ -1,10 +1,20 @@
 """Content-addressed artifact store with a JSON run manifest.
 
-Artifacts live under ``<root>/objects/<sha256>.npz`` — one compressed
-numpy archive per artifact, holding the node's arrays plus a
-``__meta__`` JSON string — and ``<root>/manifest.json`` records what
-each object *is* (key, kind, params, dep addresses, size, creation
-time), so ``repro artifacts list`` can explain the cache and
+Artifacts live under ``<root>/objects/<sha256>.blob`` — one file per
+artifact in the store's own object format (:func:`pack_object`)::
+
+    magic      8 bytes   b"RPROBJ\\x00\\x01"
+    prefix     <IQI      header length, body length, CRC32
+    header     JSON      sort_keys: {"arrays": [directory], "meta": meta}
+    body       zlib      the arrays' raw bytes, concatenated (each
+                         padded to a 16-byte offset), one level-1 stream
+
+Each directory entry is ``{"name", "dtype", "shape", "offset",
+"nbytes"}`` locating one array in the decompressed body.  The CRC32
+covers header and body, so any truncation, bit flip, bad magic or
+length mismatch fails the read.  ``<root>/manifest.json`` records
+what each object *is* (key, kind, params, dep addresses, size,
+creation time), so ``repro artifacts list`` can explain the cache and
 ``repro artifacts gc`` can sweep objects no current plan reaches.
 
 Properties the pipeline relies on:
@@ -16,6 +26,8 @@ Properties the pipeline relies on:
 * **Corruption tolerance** — a truncated or corrupted object file is
   treated as a miss (and deleted); the executor recomputes it.  A
   corrupt manifest resets to empty without touching object files.
+  Files of an older layout (``<sha256>.npz``) are never read: their
+  addresses read as clean misses and ``gc`` sweeps them.
 * **Write atomicity** — objects are written to a temp file and renamed
   into place, so a crashed run never leaves a half-written object
   under a valid address.  Manifest records are queued per ``put`` and
@@ -48,7 +60,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import struct
 import time
+import zlib
 from collections.abc import Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -63,7 +77,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SERVE_INFO_NAME", "SERVE_LOCK_NAME", "ArtifactStore", "ManifestEntry"]
 
-_META_KEY = "__meta__"
+#: File suffix of one stored object (``<digest>.blob``).
+OBJECT_SUFFIX = ".blob"
+
+_MAGIC = b"RPROBJ\x00\x01"
+#: header length, body length, CRC32 of header + body.
+_PREFIX = struct.Struct("<IQI")
+#: Every array starts at a multiple of this in the decompressed body,
+#: so decoded arrays are aligned for any numeric dtype.
+_ALIGN = 16
+#: One fast deflate pass: objects are written on every cold run and
+#: read back at most a few times, so level 1 buys most of the size at
+#: a fraction of the default level's CPU.
+_LEVEL = 1
 
 #: Long-lived lock a ``repro serve`` scheduler holds on its cache root
 #: (see :attr:`ArtifactStore.serve_lock`) and the holder-identity file
@@ -75,6 +101,65 @@ SERVE_INFO_NAME = "serve.json"
 #: this old (seconds): a live concurrent writer's temp file is never
 #: older, so sweeping cannot race an in-progress put.
 TMP_LITTER_MIN_AGE = 3600.0
+
+
+def pack_object(arrays: Mapping[str, np.ndarray], meta: Any) -> bytes:
+    """Serialize ``arrays`` plus JSON-able ``meta`` into one object blob."""
+    directory = []
+    compressor = zlib.compressobj(_LEVEL)
+    parts = []
+    offset = 0
+    for name, value in arrays.items():
+        array = np.asarray(value, order="C")
+        if array.dtype.hasobject or array.dtype.fields is not None:
+            raise TypeError(f"array {name!r}: dtype {array.dtype} cannot be stored")
+        pad = -offset % _ALIGN
+        if pad:
+            parts.append(compressor.compress(bytes(pad)))
+            offset += pad
+        directory.append({
+            "name": name,
+            "dtype": array.dtype.str,
+            "shape": list(array.shape),
+            "offset": offset,
+            "nbytes": array.nbytes,
+        })
+        parts.append(compressor.compress(array))
+        offset += array.nbytes
+    parts.append(compressor.flush())
+    body = b"".join(parts)
+    header = json.dumps(
+        {"arrays": directory, "meta": meta}, sort_keys=True, separators=(",", ":")
+    ).encode()
+    crc = zlib.crc32(body, zlib.crc32(header))
+    return b"".join((_MAGIC, _PREFIX.pack(len(header), len(body), crc), header, body))
+
+
+def unpack_object(blob: bytes) -> tuple[dict[str, np.ndarray], Any]:
+    """Invert :func:`pack_object`; ``ValueError`` on any damage.
+
+    The CRC is checked before anything is parsed, so a blob that passes
+    it is exactly what :func:`pack_object` wrote.  The decoded arrays
+    are writable and share one aligned buffer.
+    """
+    start = len(_MAGIC) + _PREFIX.size
+    if len(blob) < start or not blob.startswith(_MAGIC):
+        raise ValueError("not a store object (bad magic or truncated prefix)")
+    header_len, body_len, crc = _PREFIX.unpack_from(blob, len(_MAGIC))
+    if len(blob) != start + header_len + body_len:
+        raise ValueError(f"object length {len(blob)} does not match its prefix")
+    header = blob[start : start + header_len]
+    body = blob[start + header_len :]
+    if zlib.crc32(body, zlib.crc32(header)) != crc:
+        raise ValueError("object CRC mismatch")
+    decoded = json.loads(header)
+    buffer = np.frombuffer(zlib.decompress(body), dtype=np.uint8).copy()
+    arrays = {}
+    for entry in decoded["arrays"]:
+        offset = entry["offset"]
+        view = buffer[offset : offset + entry["nbytes"]].view(entry["dtype"])
+        arrays[entry["name"]] = view.reshape(tuple(entry["shape"]))
+    return arrays, decoded["meta"]
 
 
 class ManifestEntry(dict):
@@ -182,7 +267,7 @@ class ArtifactStore:
         return self.root / "manifest.json" if self.root is not None else None
 
     def object_path(self, digest: str) -> Path | None:
-        return self.objects_dir / f"{digest}.npz" if self.root is not None else None
+        return self.objects_dir / f"{digest}{OBJECT_SUFFIX}" if self.root is not None else None
 
     # -- membership and access ------------------------------------------
 
@@ -205,12 +290,9 @@ class ArtifactStore:
         if path is None or not path.exists():
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data[_META_KEY]))
-                arrays = {name: data[name] for name in data.files if name != _META_KEY}
-            value = node.decode(arrays, meta)
+            value = node.decode(*unpack_object(path.read_bytes()))
         except Exception:
-            # Truncated download, torn write, zip damage, schema drift:
+            # Truncated download, torn write, CRC mismatch, schema drift:
             # all read as a miss; the executor recomputes and rewrites.
             try:
                 path.unlink()
@@ -258,9 +340,8 @@ class ArtifactStore:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                np.savez_compressed(
-                    fh, **{_META_KEY: json.dumps(meta, sort_keys=True)}, **arrays
-                )
+                blob = pack_object(arrays, meta)
+                fh.write(blob)
             os.replace(tmp, path)
         finally:
             # Failed write: do not leave temp litter.  The cleanup must
@@ -277,7 +358,7 @@ class ArtifactStore:
             "kind": node.kind,
             "params": node.params(config),
             "deps": dict(dep_digests or {}),
-            "bytes": path.stat().st_size,
+            "bytes": len(blob),
             "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         }
 
@@ -316,7 +397,7 @@ class ArtifactStore:
         if path is None:
             return
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        tmp.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, path)
 
     def entries(self) -> list[ManifestEntry]:
@@ -336,7 +417,8 @@ class ArtifactStore:
         Returns ``(objects_removed, bytes_reclaimed)`` — with
         ``dry_run=True`` nothing is touched and the counts describe
         what *would* be removed.  Untracked files in the objects
-        directory (manifest lost, older layouts) are swept by the same
+        directory (manifest lost, older layouts such as
+        ``<digest>.npz``, whatever their digest) are swept by the same
         rule, as is ``*.tmp`` litter left behind by crashed writers
         (only once :data:`TMP_LITTER_MIN_AGE` old, so a live concurrent
         writer's in-progress temp file is never touched).
@@ -367,9 +449,9 @@ class ArtifactStore:
                     continue
             removed += 1
             reclaimed += stat.st_size
-        for path in sorted(objects.glob("*.npz")):
+        for path in sorted(objects.iterdir()):
             digest = path.stem
-            if digest in live:
+            if path.suffix == ".tmp" or (path.suffix == OBJECT_SUFFIX and digest in live):
                 continue
             size = path.stat().st_size
             if not dry_run:
@@ -377,7 +459,8 @@ class ArtifactStore:
                     path.unlink()
                 except OSError:
                     continue
-                self._memory.pop(digest, None)
+                if path.suffix == OBJECT_SUFFIX:
+                    self._memory.pop(digest, None)
             removed += 1
             reclaimed += size
         if not dry_run:

@@ -88,6 +88,14 @@ def _read_exact(fp: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
+def _read_name(fp: BinaryIO, name_len: int) -> str:
+    raw = _read_exact(fp, name_len, "trace name")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace name is not valid UTF-8: {exc}") from None
+
+
 def _pcs_bytes(trace: Trace) -> bytes:
     return np.ascontiguousarray(trace.pcs, dtype="<i8").tobytes()
 
@@ -164,7 +172,7 @@ def read_binary(fp: BinaryIO) -> Trace:
     if magic != MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}; not a repro branch trace")
     if version == 1:
-        name = _read_exact(fp, name_len, "trace name").decode("utf-8")
+        name = _read_name(fp, name_len)
         pcs_raw = _read_exact(fp, count * 8, "pc payload")
         packed_len = (count + 7) // 8
         out_raw = _read_exact(fp, packed_len, "outcome payload")
@@ -376,12 +384,12 @@ class TraceReader:
                     f"bit-packed over the whole stream), got {self.chunk_len}"
                 )
             self.fingerprint = None
-            self.name = _read_exact(fp, name_len, "trace name").decode("utf-8")
+            self.name = _read_name(fp, name_len)
             self._parse_v1(count, name_len)
         else:
             nominal = _V2_EXTRA.unpack(_read_exact(fp, _V2_EXTRA.size, "v2 header"))[0]
             self.chunk_len = int(nominal)
-            self.name = _read_exact(fp, name_len, "trace name").decode("utf-8")
+            self.name = _read_name(fp, name_len)
             self._parse_v2(count)
         self._maybe_mmap()
 

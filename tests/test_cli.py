@@ -102,7 +102,7 @@ class TestMain:
         monkeypatch.chdir(tmp_path)
         cache = tmp_path / "custom-cache"
         assert main(["run", "fig1", "--scale", "0.01", "--cache-dir", str(cache)]) == 0
-        assert list((cache / "objects").glob("*.npz"))
+        assert list((cache / "objects").glob("*.blob"))
         assert (cache / "manifest.json").exists()
         assert not (tmp_path / ".repro-cache").exists()
 

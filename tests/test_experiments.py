@@ -133,7 +133,7 @@ class TestContextCaching:
         )
         first = make()
         sweep_a = first.sweep
-        assert list((tmp_path / "objects").glob("*.npz"))
+        assert list((tmp_path / "objects").glob("*.blob"))
         second = make()
         sweep_b = second.sweep  # loaded from the store
         assert second.pipeline.plan(["sweep"]).nodes["sweep"].cached
@@ -147,7 +147,7 @@ class TestContextCaching:
             inputs="primary", scale=0.02, history_lengths=(0,), cache_dir=None
         )
         _ = context.sweep
-        assert not list(tmp_path.rglob("*.npz"))
+        assert not list(tmp_path.rglob("*.blob"))
 
     def test_mismatched_history_cache_ignored(self, tmp_path):
         a = ExperimentContext(

@@ -11,12 +11,14 @@ import hashlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from repro.errors import TraceError
 from repro.ingest import PerfParser, ingest_perf, parse_perf_trace
+from repro.ingest import perf as perf_module
 from repro.trace.io import TraceReader
 from repro.trace.stream import concat
 from repro.workload_spec import PerfLbrSpec
@@ -163,6 +165,36 @@ class TestParser:
     def test_missing_file_raises_trace_error(self):
         with pytest.raises(TraceError):
             parse_perf_trace("/nonexistent/perf.txt")
+
+    def test_newline_free_input_is_bounded(self, tmp_path):
+        # A binary file passed by mistake: megabytes without a newline.
+        junk = bytes(b for b in range(256) if b != 0x0A) * (8 * 4096)
+        src = tmp_path / "perf.data"
+        src.write_bytes(junk + b"\n" + CLEAN.read_bytes().splitlines()[1] + b"\n")
+        tracemalloc.start()
+        try:
+            trace, report = parse_perf_trace(src)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(junk) // 2  # O(block), not O(input)
+        assert report.records == len(trace) == 3
+        assert report.reasons == {"line-too-long": 1}
+        assert report.lines == 2 and report.skipped_lines == 1
+        assert report.sha256 == hashlib.sha256(src.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("block", [7, 4096, 1 << 20])
+    def test_over_long_line_skip_ignores_block_boundaries(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(perf_module, "_READ_BLOCK", block)
+        good = CLEAN.read_bytes().splitlines()[1]
+        long_line = b"x" * (perf_module._MAX_LINE + 1)
+        edge = b"y" * perf_module._MAX_LINE  # at the cap: parsed, skipped as garbage
+        src = tmp_path / "mixed.txt"
+        src.write_bytes(b"\n".join([good, long_line, edge, good, long_line]))
+        trace, report = parse_perf_trace(src)
+        assert len(trace) == 6
+        assert report.reasons == {"line-too-long": 2, "no-branch-payload": 1}
+        assert report.lines == 5
 
 
 class TestIngest:

@@ -189,7 +189,7 @@ class TestStoreRecovery:
         context = small_context(None)
         _ = context.sweep
         assert context.store.root is None
-        assert not list(tmp_path.rglob("*.npz"))
+        assert not list(tmp_path.rglob("*.blob"))
         # ...but memoizes in process.
         assert context.pipeline.plan(["sweep"]).nodes["sweep"].cached
 
@@ -209,7 +209,7 @@ class TestExecutor:
             }
         assert rendered[1] == rendered[4]
         # Content addressing agrees too: both stores hold identical object sets.
-        names = lambda d: sorted(p.name for p in (d / "objects").glob("*.npz"))
+        names = lambda d: sorted(p.name for p in (d / "objects").glob("*.blob"))
         assert names(tmp_path / "jobs1") == names(tmp_path / "jobs4")
 
     def test_warm_run_recomputes_nothing(self, tmp_path):

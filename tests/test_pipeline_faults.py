@@ -377,10 +377,10 @@ class TestCrashConsistency:
 
         context = small_context(tmp_path)
 
-        def refuse(fh, **arrays):
+        def refuse(arrays, meta):
             raise OSError("disk full")
 
-        monkeypatch.setattr(store_module.np, "savez_compressed", refuse)
+        monkeypatch.setattr(store_module, "pack_object", refuse)
         report = context.pipeline.execute(context.pipeline.plan(["traces"]))
         failure = report.failure_for("traces")
         assert failure is not None and failure.kind is FaultKind.STORE_IO
@@ -397,11 +397,11 @@ class TestCrashConsistency:
         context = small_context(tmp_path)
         context.pipeline.value("traces")
         objects = tmp_path / "objects"
-        stale = objects / "deadbeef.npz.12345.tmp"
+        stale = objects / "deadbeef.blob.12345.tmp"
         stale.write_bytes(b"x" * 64)
         old = time.time() - TMP_LITTER_MIN_AGE - 60
         os.utime(stale, (old, old))
-        fresh = objects / "cafef00d.npz.12346.tmp"
+        fresh = objects / "cafef00d.blob.12346.tmp"
         fresh.write_bytes(b"y" * 64)
 
         live = context.pipeline.planner.live_digests(context.store)

@@ -74,6 +74,19 @@ class TestBinaryFormat:
             read_binary(io.BytesIO(bytes(data)))
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_non_utf8_name_is_a_format_error(tmp_path, version):
+    path = tmp_path / "t.rbt"
+    save_trace(Trace.from_pairs([(0x400, 1), (0x404, 0)], name="abcd"), path, version=version)
+    data = path.read_bytes()
+    assert data.count(b"abcd") == 1
+    path.write_bytes(data.replace(b"abcd", b"\xff\xfe\xfd\xfc"))
+    with pytest.raises(TraceFormatError, match="UTF-8"):
+        load_trace(path)
+    with open(path, "rb") as fp, pytest.raises(TraceFormatError, match="UTF-8"):
+        read_binary(fp)
+
+
 class TestTextFormat:
     def test_roundtrip(self):
         t = Trace.from_pairs([(1, 1), (2, 0)], name="txt")
